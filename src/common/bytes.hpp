@@ -2,20 +2,27 @@
 //
 // Every checkpointable component (Rng aside, which predates this helper and
 // carries its own fixed-size codec) appends itself to a byte vector through
-// these writers and parses itself back through Reader. Explicit per-byte
-// shifts make the encoding identical on any host, and Reader is fail-soft:
-// past-the-end reads latch a failure flag and return zeros instead of
-// touching out-of-range memory, so callers validate once at the end with
-// ok() — corrupt input can never turn into UB, only into a refused restore.
+// these writers and parses itself back through Reader. Scalars go through
+// explicit per-byte shifts; f64 spans — the bulk of every snapshot and wire
+// frame — are copied with memcpy, which is the little-endian encoding only
+// on a little-endian host, so other hosts are refused at compile time. Reader
+// is fail-soft: past-the-end reads latch a failure flag and return zeros
+// instead of touching out-of-range memory, so callers validate once at the
+// end with ok() — corrupt input can never turn into UB, only into a refused
+// restore.
 #pragma once
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace turbda::bytes {
+
+static_assert(std::endian::native == std::endian::little,
+              "f64 spans are encoded by memcpy: a little-endian host is required");
 
 inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -33,9 +40,15 @@ inline void put_f64(std::vector<std::uint8_t>& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
 }
 
+/// Overwrites the 8 bytes at `at` (a length placeholder written earlier).
+inline void put_u64_at(std::vector<std::uint8_t>& out, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 inline void put_f64_span(std::vector<std::uint8_t>& out, std::span<const double> v) {
   put_u64(out, v.size());
-  for (double x : v) put_f64(out, x);
+  const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
+  out.insert(out.end(), p, p + v.size_bytes());
 }
 
 inline void put_blob(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> v) {
@@ -70,13 +83,16 @@ class Reader {
 
   double f64() { return std::bit_cast<double>(u64()); }
 
-  /// Length-prefixed double vector; latches failure on absurd lengths.
+  /// Length-prefixed double vector; latches failure on absurd lengths
+  /// (compared as a count, so a hostile n near 2^64 cannot wrap 8 * n).
   bool f64_vec(std::vector<double>& out) {
     const std::uint64_t n = u64();
-    if (!need(8 * n)) return false;
+    if (n > remaining() / sizeof(double)) fail_ = true;
+    if (!ok()) return false;
     out.resize(n);
-    for (auto& x : out) x = f64();
-    return ok();
+    if (n != 0) std::memcpy(out.data(), in_.data() + at_, n * sizeof(double));
+    at_ += n * sizeof(double);
+    return true;
   }
 
   /// Length-prefixed byte vector.

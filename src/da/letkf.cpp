@@ -266,8 +266,9 @@ std::unique_ptr<LETKF::Plan> LETKF::Plan::build(const LetkfConfig& cfg,
         if (pls[rep] != pls[g]) continue;
         collect(rep, ia, wa);
         collect(g, ib, wb);
-        if (ia == ib &&
-            std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(double)) == 0) {
+        // An empty weight list has a null data(), which memcmp must not see.
+        if (ia == ib && (wa.empty() ||
+                         std::memcmp(wa.data(), wb.data(), wa.size() * sizeof(double)) == 0)) {
           groups[gid].push_back(static_cast<std::uint32_t>(g));
           joined = true;
           break;

@@ -1,25 +1,19 @@
 #include "stream/checkpoint.hpp"
 
-#include <array>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "common/bytes.hpp"
+#include "common/crc32.hpp"
 
 namespace turbda::stream {
 
 namespace {
-
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[i] = c;
-  }
-  return t;
-}
-
-constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
 void put_metrics(std::vector<std::uint8_t>& out, const StreamCycleMetrics& m) {
   bytes::put_i32(out, m.cycle);
@@ -85,61 +79,97 @@ void read_metrics(bytes::Reader& rd, StreamCycleMetrics& m) {
   m.ingest_queue_drops = rd.i32();
 }
 
-}  // namespace
+constexpr std::size_t kHeaderBytes = 16;  // magic + version + payload length
 
-std::uint32_t crc32(std::span<const std::uint8_t> data) {
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (std::uint8_t b : data) c = kCrcTable[(c ^ b) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+/// Creates (or truncates) `path` and writes `buf` to it; on a failed write
+/// the partial file is removed.
+Status write_new_file(const std::string& path, std::span<const std::uint8_t> buf) {
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return Status(StatusCode::kIoError, "cannot open checkpoint file for write: " + path);
+  // Reserving the blocks up front spares the rename that follows from
+  // forcing out the file's delayed allocation (ext4 flushes a file renamed
+  // over another), which costs more than the write itself. Linux fallocate
+  // rather than posix_fallocate: where the filesystem cannot reserve, it
+  // fails and changes nothing instead of writing zeros, and the write below
+  // reports any real failure.
+  (void)::fallocate(fd, 0, 0, static_cast<off_t>(buf.size()));
+  std::size_t done = 0;
+  while (done < buf.size()) {
+    const ssize_t w = ::write(fd, buf.data() + done, buf.size() - done);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) break;
+    done += static_cast<std::size_t>(w);
+  }
+  const bool closed = ::close(fd) == 0;
+  if (done != buf.size() || !closed) {
+    std::remove(path.c_str());
+    return Status(StatusCode::kIoError, "checkpoint write failed: " + path);
+  }
+  return Status::Ok();
 }
 
-Status save_checkpoint(const std::string& path, const CheckpointData& data) {
-  std::vector<std::uint8_t> payload;
-  bytes::put_u64(payload, data.seed);
-  bytes::put_u64(payload, data.n_members);
-  bytes::put_u64(payload, data.dim);
-  bytes::put_i32(payload, data.cycles);
-  payload.push_back(data.schedule);
-  bytes::put_i32(payload, data.overlap_depth);
-  bytes::put_i32(payload, data.next_cycle);
-  bytes::put_blob(payload, data.rng_modelerr);
-  bytes::put_f64_span(payload, data.ensemble);
-  payload.push_back(data.have_increment);
-  bytes::put_f64_span(payload, data.buf_prior);
-  bytes::put_f64_span(payload, data.buf_post);
-  bytes::put_u64(payload, data.ring.size());
-  for (const auto& s : data.ring) {
-    bytes::put_i32(payload, s.cycle);
-    bytes::put_f64_span(payload, s.prior);
-    bytes::put_f64_span(payload, s.post);
-  }
-  bytes::put_blob(payload, data.applied);
-  bytes::put_blob(payload, data.stream_state);
-  bytes::put_blob(payload, data.filter_state);
-  bytes::put_u64(payload, data.metrics.size());
-  for (const auto& m : data.metrics) put_metrics(payload, m);
+}  // namespace
 
+Status save_checkpoint(const std::string& path, const CheckpointData& data) {
+  // One buffer for header, payload and CRC, sized up front: 128 bytes bound
+  // the scalar fields and length prefixes, 12 per ring slot its cycle and
+  // prefix, and a metrics row encodes to at most its in-memory size.
+  std::size_t size = kHeaderBytes + 128 + 4 + data.rng_modelerr.size() + data.applied.size() +
+                     data.stream_state.size() + data.filter_state.size() +
+                     sizeof(StreamCycleMetrics) * data.metrics.size() +
+                     8 * (data.ensemble.size() + data.increment.size());
+  for (const auto& s : data.ring) size += 12 + 8 * s.increment.size();
   std::vector<std::uint8_t> file;
-  file.reserve(payload.size() + 20);
+  file.reserve(size);
   bytes::put_u32(file, kCheckpointMagic);
   bytes::put_u32(file, kCheckpointVersion);
-  bytes::put_u64(file, payload.size());
-  file.insert(file.end(), payload.begin(), payload.end());
-  bytes::put_u32(file, crc32(payload));
+  bytes::put_u64(file, 0);  // payload length, patched below
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status(StatusCode::kIoError, "cannot open checkpoint file for write: " + path);
-  out.write(reinterpret_cast<const char*>(file.data()), static_cast<std::streamsize>(file.size()));
-  out.flush();
-  if (!out) return Status(StatusCode::kIoError, "checkpoint write failed: " + path);
+  bytes::put_u64(file, data.seed);
+  bytes::put_u64(file, data.n_members);
+  bytes::put_u64(file, data.dim);
+  bytes::put_i32(file, data.cycles);
+  file.push_back(data.schedule);
+  bytes::put_i32(file, data.overlap_depth);
+  bytes::put_i32(file, data.next_cycle);
+  bytes::put_blob(file, data.rng_modelerr);
+  bytes::put_f64_span(file, data.ensemble);
+  bytes::put_f64_span(file, data.increment);
+  bytes::put_u64(file, data.ring.size());
+  for (const auto& s : data.ring) {
+    bytes::put_i32(file, s.cycle);
+    bytes::put_f64_span(file, s.increment);
+  }
+  bytes::put_blob(file, data.applied);
+  bytes::put_blob(file, data.stream_state);
+  bytes::put_blob(file, data.filter_state);
+  bytes::put_u64(file, data.metrics.size());
+  for (const auto& m : data.metrics) put_metrics(file, m);
+
+  const std::size_t payload_bytes = file.size() - kHeaderBytes;
+  bytes::put_u64_at(file, 8, payload_bytes);
+  bytes::put_u32(file, crc32(std::span<const std::uint8_t>(file).subspan(kHeaderBytes)));
+
+  // Write beside the live snapshot, then rename over it: a kill mid-write
+  // leaves the previous snapshot whole.
+  const std::string tmp = path + ".tmp";
+  const Status ws = write_new_file(tmp, file);
+  if (!ws.ok()) return ws;
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status(StatusCode::kIoError, "cannot replace checkpoint file: " + path);
+  }
   return Status::Ok();
 }
 
 Status load_checkpoint(const std::string& path, CheckpointData& data) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
   std::ifstream in(path, std::ios::binary);
-  if (!in) return Status(StatusCode::kIoError, "cannot open checkpoint file: " + path);
-  std::vector<std::uint8_t> file((std::istreambuf_iterator<char>(in)),
-                                 std::istreambuf_iterator<char>());
+  if (ec || !in) return Status(StatusCode::kIoError, "cannot open checkpoint file: " + path);
+  std::vector<std::uint8_t> file(static_cast<std::size_t>(size));
+  in.read(reinterpret_cast<char*>(file.data()), static_cast<std::streamsize>(file.size()));
+  file.resize(static_cast<std::size_t>(in.gcount()));
 
   bytes::Reader rd(file);
   const std::uint32_t magic = rd.u32();
@@ -167,17 +197,15 @@ Status load_checkpoint(const std::string& path, CheckpointData& data) {
   data.schedule = pr.u8();
   data.overlap_depth = pr.i32();
   data.next_cycle = pr.i32();
-  if (!pr.blob(data.rng_modelerr) || !pr.f64_vec(data.ensemble))
-    return Status(StatusCode::kCorruptData, "checkpoint payload malformed");
-  data.have_increment = pr.u8();
-  if (!pr.f64_vec(data.buf_prior) || !pr.f64_vec(data.buf_post))
+  if (!pr.blob(data.rng_modelerr) || !pr.f64_vec(data.ensemble) ||
+      !pr.f64_vec(data.increment))
     return Status(StatusCode::kCorruptData, "checkpoint payload malformed");
   const std::uint64_t n_ring = pr.u64();
   data.ring.clear();
   for (std::uint64_t i = 0; i < n_ring && pr.ok(); ++i) {
     CheckpointData::StagedSlotData s;
     s.cycle = pr.i32();
-    if (!pr.f64_vec(s.prior) || !pr.f64_vec(s.post))
+    if (!pr.f64_vec(s.increment))
       return Status(StatusCode::kCorruptData, "checkpoint payload malformed");
     data.ring.push_back(std::move(s));
   }
@@ -193,12 +221,10 @@ Status load_checkpoint(const std::string& path, CheckpointData& data) {
   if (!pr.done()) return Status(StatusCode::kCorruptData, "checkpoint payload malformed");
   if (data.ensemble.size() != data.n_members * data.dim)
     return Status(StatusCode::kCorruptData, "checkpoint ensemble size inconsistent");
-  if (data.have_increment != 0 &&
-      (data.buf_prior.size() != data.ensemble.size() ||
-       data.buf_post.size() != data.ensemble.size()))
-    return Status(StatusCode::kCorruptData, "checkpoint analysis buffers inconsistent");
+  if (!data.increment.empty() && data.increment.size() != data.ensemble.size())
+    return Status(StatusCode::kCorruptData, "checkpoint analysis increment inconsistent");
   for (const auto& s : data.ring)
-    if (s.prior.size() != data.ensemble.size() || s.post.size() != data.ensemble.size())
+    if (s.increment.size() != data.ensemble.size())
       return Status(StatusCode::kCorruptData, "checkpoint staged slot inconsistent");
   return Status::Ok();
 }

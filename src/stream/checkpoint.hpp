@@ -3,7 +3,7 @@
 // A real-time assimilation service must survive being killed: the snapshot
 // captures everything the RealtimeRunner needs to continue *bitwise
 // identically* — the ensemble, the cycle index, the overlapped schedule's
-// staged analysis buffers, the duplicate-batch guard, the stream's
+// staged analysis increments, the duplicate-batch guard, the stream's
 // undelivered queue and truth ring, the filter's cross-cycle state and the
 // metrics rows already produced. The file format is little-endian with a
 // magic tag, a format version and a CRC-32 trailer over the payload, so a
@@ -24,7 +24,11 @@ inline constexpr std::uint32_t kCheckpointMagic = 0x4B434454u;  // "TDCK" LE
 // v2: StreamCycleMetrics grew qc_ms / checkpoint_ms / pool_idle_frac.
 // v3: overlap_depth config echo + deep-overlap staged-analysis ring;
 //     StreamCycleMetrics grew late_applied / ingest_* columns.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// v4: each staged analysis (the K=1 double buffer and every deep-ring slot)
+//     is stored as one increment array (post - prior) instead of full prior
+//     and posterior ensembles; the have_increment flag is gone (an empty
+//     increment means none is staged).
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Everything a snapshot holds. The config echo fields let resume() refuse a
 /// checkpoint taken under a different setup instead of diverging silently.
@@ -42,17 +46,18 @@ struct CheckpointData {
   std::vector<std::uint8_t> rng_modelerr;  ///< Rng::kStateBytes
   std::vector<double> ensemble;            ///< n_members * dim, member-major
 
-  // Overlapped schedule: staged analysis buffers (empty unless
-  // have_increment).
-  std::uint8_t have_increment = 0;
-  std::vector<double> buf_prior, buf_post;
+  /// Overlapped K=1 schedule: the staged analysis increment, post[i] -
+  /// prior[i] exactly as the apply step computes it (empty when none is
+  /// staged). Restored as post = increment, prior = 0, which reproduces the
+  /// same bits because x - 0.0 == x for every double.
+  std::vector<double> increment;
 
   /// Deep-overlap (K > 1) ring: analyses staged but not yet applied at the
   /// snapshot point, completed (joined) before serialization so the bytes
   /// are deterministic. Empty for Serial and K == 1 runs.
   struct StagedSlotData {
     std::int32_t cycle = -1;
-    std::vector<double> prior, post;
+    std::vector<double> increment;  ///< post - prior, as `increment` above
   };
   std::vector<StagedSlotData> ring;
 
@@ -62,11 +67,10 @@ struct CheckpointData {
   std::vector<StreamCycleMetrics> metrics;  ///< rows already produced
 };
 
-/// CRC-32 (IEEE, reflected 0xEDB88320) over `data` — exposed for tests.
-[[nodiscard]] std::uint32_t crc32(std::span<const std::uint8_t> data);
-
-/// Atomically-ordered write: serialize, then emit header + payload + CRC in
-/// one stream. Returns kIoError when the file cannot be written.
+/// Serializes header + payload + CRC into one buffer, writes it to
+/// `<path>.tmp` and renames that over `path`, so a process killed mid-write
+/// leaves the previous snapshot intact. Returns kIoError when the file
+/// cannot be written.
 [[nodiscard]] Status save_checkpoint(const std::string& path, const CheckpointData& data);
 
 /// Validates magic, version, length and CRC before decoding; on any failure

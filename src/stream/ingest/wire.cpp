@@ -3,49 +3,59 @@
 #include <algorithm>
 
 #include "common/bytes.hpp"
-#include "stream/checkpoint.hpp"  // crc32
+#include "common/crc32.hpp"
 
 namespace turbda::stream::ingest {
 
 namespace {
 
-void frame(std::vector<std::uint8_t>& payload, std::vector<std::uint8_t>& out) {
-  out.reserve(out.size() + payload.size() + kWireHeaderBytes + 4);
+/// Appends a frame header with a length placeholder and the payload's kind
+/// byte; the caller encodes the rest of the payload straight into `out`.
+/// `payload_bytes` (kind byte and length prefixes included) sizes the
+/// reservation. Returns the payload's offset for end_frame().
+std::size_t begin_frame(std::vector<std::uint8_t>& out, FrameKind kind,
+                        std::size_t payload_bytes) {
+  out.reserve(out.size() + kWireHeaderBytes + payload_bytes + 4);
   bytes::put_u32(out, kWireMagic);
   bytes::put_u32(out, kWireVersion);
-  bytes::put_u64(out, payload.size());
-  out.insert(out.end(), payload.begin(), payload.end());
-  bytes::put_u32(out, crc32(payload));
+  bytes::put_u64(out, 0);  // payload length, patched by end_frame()
+  const std::size_t at = out.size();
+  out.push_back(static_cast<std::uint8_t>(kind));
+  return at;
+}
+
+/// Patches the payload length that begin_frame() left open and appends the
+/// CRC trailer over the payload.
+void end_frame(std::vector<std::uint8_t>& out, std::size_t at) {
+  bytes::put_u64_at(out, at - 8, out.size() - at);
+  bytes::put_u32(out, crc32(std::span<const std::uint8_t>(out).subspan(at)));
 }
 
 }  // namespace
 
 void encode_obs_frame(const ObsBatch& b, std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> payload;
-  payload.push_back(static_cast<std::uint8_t>(FrameKind::kObs));
-  bytes::put_i32(payload, b.cycle);
-  bytes::put_f64(payload, b.valid_cycles);
-  bytes::put_f64(payload, b.arrival_cycles);
-  bytes::put_f64_span(payload, b.y);
-  frame(payload, out);
+  const std::size_t at = begin_frame(out, FrameKind::kObs, 1 + 4 + 2 * 8 + 8 + 8 * b.y.size());
+  bytes::put_i32(out, b.cycle);
+  bytes::put_f64(out, b.valid_cycles);
+  bytes::put_f64(out, b.arrival_cycles);
+  bytes::put_f64_span(out, b.y);
+  end_frame(out, at);
 }
 
 void encode_truth_frame(std::int32_t cycle, std::span<const double> state,
                         std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> payload;
-  payload.push_back(static_cast<std::uint8_t>(FrameKind::kTruth));
-  bytes::put_i32(payload, cycle);
-  bytes::put_f64_span(payload, state);
-  frame(payload, out);
+  const std::size_t at = begin_frame(out, FrameKind::kTruth, 1 + 4 + 8 + 8 * state.size());
+  bytes::put_i32(out, cycle);
+  bytes::put_f64_span(out, state);
+  end_frame(out, at);
 }
 
 void encode_heartbeat_frame(std::int32_t high_water_cycle, std::uint64_t seq,
                             std::vector<std::uint8_t>& out) {
-  std::vector<std::uint8_t> payload;
-  payload.push_back(static_cast<std::uint8_t>(FrameKind::kHeartbeat));
-  bytes::put_i32(payload, high_water_cycle);
-  bytes::put_u64(payload, seq);
-  frame(payload, out);
+  const std::size_t at = begin_frame(out, FrameKind::kHeartbeat, 1 + 4 + 8);
+  bytes::put_i32(out, high_water_cycle);
+  bytes::put_u64(out, seq);
+  end_frame(out, at);
 }
 
 void FrameDecoder::feed(std::span<const std::uint8_t> data) {

@@ -104,6 +104,26 @@ void fill_ingest_delta(StreamCycleMetrics& cm, const ObservationStream::IngestCo
   cm.ingest_queue_drops = static_cast<int>(now.queue_drops - base.queue_drops);
 }
 
+/// Snapshot form of a staged analysis: post[i] - prior[i], the exact double
+/// the apply step adds to the ensemble.
+std::vector<double> staged_increment(const da::Ensemble& prior, const da::Ensemble& post) {
+  const auto p = prior.data().flat();
+  const auto q = post.data().flat();
+  std::vector<double> inc(q.size());
+  for (std::size_t i = 0; i < inc.size(); ++i) inc[i] = q[i] - p[i];
+  return inc;
+}
+
+/// Restores a saved increment as post = increment, prior = 0. The apply
+/// step's post[i] - prior[i] then adds the saved bits unchanged, because
+/// x - 0.0 == x for every double, -0.0 included.
+void restore_increment(std::span<const double> inc, std::size_t n_members, std::size_t dim,
+                       std::optional<da::Ensemble>& prior, std::optional<da::Ensemble>& post) {
+  prior.emplace(n_members, dim);
+  post.emplace(n_members, dim);
+  std::copy(inc.begin(), inc.end(), post->data().data());
+}
+
 }  // namespace
 
 /// Outcome of one cycle's batch collection: what to assimilate now, plus the
@@ -363,13 +383,7 @@ void RealtimeRunner::maybe_checkpoint(int completed_cycle,
   rng_modelerr_->save_state(data.rng_modelerr);
   const double* ep = ens_->data().data();
   data.ensemble.assign(ep, ep + cfg_.n_members * d);
-  if (have_increment_) {
-    data.have_increment = 1;
-    const double* pp = buf_prior_->data().data();
-    const double* qp = buf_post_->data().data();
-    data.buf_prior.assign(pp, pp + cfg_.n_members * d);
-    data.buf_post.assign(qp, qp + cfg_.n_members * d);
-  }
+  if (have_increment_) data.increment = staged_increment(*buf_prior_, *buf_post_);
   if (cfg_.schedule == Schedule::Overlapped && cfg_.overlap_depth > 1) {
     // Completing (joining + merging — NOT applying) every in-flight slot is
     // numerics-neutral: the uninterrupted run produces the exact same staged
@@ -381,13 +395,7 @@ void RealtimeRunner::maybe_checkpoint(int completed_cycle,
               [](const StagedSlot* a, const StagedSlot* b) { return a->cycle < b->cycle; });
     for (StagedSlot* s : pend) {
       complete_slot(*s, metrics);
-      CheckpointData::StagedSlotData sd;
-      sd.cycle = s->cycle;
-      const double* pp = s->prior->data().data();
-      const double* qp = s->post->data().data();
-      sd.prior.assign(pp, pp + cfg_.n_members * d);
-      sd.post.assign(qp, qp + cfg_.n_members * d);
-      data.ring.push_back(std::move(sd));
+      data.ring.push_back({s->cycle, staged_increment(*s->prior, *s->post)});
     }
   }
   data.applied = applied_;
@@ -490,15 +498,10 @@ Status RealtimeRunner::resume(const std::string& path,
   ens_.emplace(cfg_.n_members, d);
   std::copy(data.ensemble.begin(), data.ensemble.end(), ens_->data().data());
   applied_ = std::move(data.applied);
-  have_increment_ = data.have_increment != 0;
+  have_increment_ = !data.increment.empty();
   buf_prior_.reset();
   buf_post_.reset();
-  if (have_increment_) {
-    buf_prior_.emplace(cfg_.n_members, d);
-    buf_post_.emplace(cfg_.n_members, d);
-    std::copy(data.buf_prior.begin(), data.buf_prior.end(), buf_prior_->data().data());
-    std::copy(data.buf_post.begin(), data.buf_post.end(), buf_post_->data().data());
-  }
+  if (have_increment_) restore_increment(data.increment, cfg_.n_members, d, buf_prior_, buf_post_);
   ring_.clear();
   if (deep) {
     // Restored slots were completed (joined + metrics merged) before the
@@ -511,10 +514,7 @@ Status RealtimeRunner::resume(const std::string& path,
       s.cycle = sd.cycle;
       s.pending = true;
       s.completed = true;
-      s.prior.emplace(cfg_.n_members, d);
-      s.post.emplace(cfg_.n_members, d);
-      std::copy(sd.prior.begin(), sd.prior.end(), s.prior->data().data());
-      std::copy(sd.post.begin(), sd.post.end(), s.post->data().data());
+      restore_increment(sd.increment, cfg_.n_members, d, s.prior, s.post);
     }
   }
 

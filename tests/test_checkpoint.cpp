@@ -7,12 +7,15 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
+#include "common/crc32.hpp"
 #include "da/ensf.hpp"
 #include "da/etkf.hpp"
 #include "models/lorenz96.hpp"
@@ -131,8 +134,8 @@ std::string temp_path(const std::string& name) { return testing::TempDir() + nam
 
 TEST(Checkpoint, Crc32MatchesKnownVector) {
   const char* s = "123456789";
-  EXPECT_EQ(stream::crc32({reinterpret_cast<const std::uint8_t*>(s), 9}), 0xCBF43926u);
-  EXPECT_EQ(stream::crc32({}), 0x00000000u);
+  EXPECT_EQ(crc32({reinterpret_cast<const std::uint8_t*>(s), 9}), 0xCBF43926u);
+  EXPECT_EQ(crc32({}), 0x00000000u);
 }
 
 TEST(Checkpoint, RngStateRoundTripsMidSequence) {
@@ -319,6 +322,105 @@ TEST(Checkpoint, CorruptSnapshotsAreRefusedWithPreciseStatus) {
   EXPECT_EQ(s.code(), StatusCode::kUnsupported);
   EXPECT_NE(s.message().find("version"), std::string::npos) << s.to_string();
 
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, PreIncrementFormatIsRefusedAsUnsupported) {
+  // v3 files stored staged analyses as full prior/posterior ensembles; v4
+  // stores increments. An old file is refused, not misparsed.
+  const std::string path = temp_path("ckpt_v3.bin");
+  auto old = make_snapshot(path);
+  old[4] = 3;
+  old[5] = old[6] = old[7] = 0;
+  write_bytes(path, old);
+  stream::CheckpointData data;
+  const Status s = stream::load_checkpoint(path, data);
+  EXPECT_EQ(s.code(), StatusCode::kUnsupported);
+  EXPECT_NE(s.message().find("version 3"), std::string::npos) << s.to_string();
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, HostileLengthWithValidCrcIsCorruptData) {
+  // A snapshot whose CRC is right but whose ensemble length field claims
+  // 2^61 + 1 doubles (8 * n wraps to 8): refused with a Status, no throw.
+  const std::string path = temp_path("ckpt_hostile.bin");
+  auto file = make_snapshot(path);
+  // Payload: seed, n_members, dim (3 x u64), cycles (i32), schedule (u8),
+  // overlap_depth, next_cycle (2 x i32), then the RNG blob and the ensemble.
+  const std::size_t rng_len_at = 16 + 3 * 8 + 4 + 1 + 2 * 4;
+  const std::size_t ens_len_at = rng_len_at + 8 + rng::Rng::kStateBytes;
+  std::vector<std::uint8_t> bytes(file.begin(), file.end());
+  bytes::put_u64_at(bytes, ens_len_at, (std::uint64_t{1} << 61) + 1);
+  const std::span<const std::uint8_t> payload(bytes.data() + 16, bytes.size() - 20);
+  const std::uint32_t crc = crc32(payload);
+  for (int i = 0; i < 4; ++i)
+    bytes[bytes.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  write_bytes(path, std::vector<char>(bytes.begin(), bytes.end()));
+
+  stream::CheckpointData data;
+  Status s = Status::Ok();
+  EXPECT_NO_THROW(s = stream::load_checkpoint(path, data));
+  EXPECT_EQ(s.code(), StatusCode::kCorruptData) << s.to_string();
+  EXPECT_NE(s.message().find("malformed"), std::string::npos) << s.to_string();
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FailedWriteLeavesPreviousSnapshotIntact) {
+  // The snapshot is written beside the live file and renamed over it. When
+  // that write fails (here: <path>.tmp is a directory), the last good
+  // snapshot must survive byte for byte and still load.
+  const std::string path = temp_path("ckpt_atomic.bin");
+  const auto good = make_snapshot(path);
+  stream::CheckpointData before;
+  ASSERT_TRUE(stream::load_checkpoint(path, before).ok());
+
+  const std::string tmp = path + ".tmp";
+  std::filesystem::remove_all(tmp);
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  stream::CheckpointData other = before;
+  other.next_cycle += 1;
+  other.ensemble.assign(other.ensemble.size(), 0.0);
+  EXPECT_EQ(stream::save_checkpoint(path, other).code(), StatusCode::kIoError);
+  EXPECT_TRUE(std::filesystem::is_directory(tmp));
+  std::filesystem::remove_all(tmp);
+
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> after{std::istreambuf_iterator<char>(in),
+                                std::istreambuf_iterator<char>()};
+  EXPECT_EQ(after, good);
+  stream::CheckpointData reloaded;
+  ASSERT_TRUE(stream::load_checkpoint(path, reloaded).ok());
+  EXPECT_EQ(reloaded.next_cycle, before.next_cycle);
+  ASSERT_EQ(reloaded.ensemble.size(), before.ensemble.size());
+  EXPECT_EQ(0, std::memcmp(reloaded.ensemble.data(), before.ensemble.data(),
+                           before.ensemble.size() * sizeof(double)));
+
+  // A successful save replaces the file and leaves no temporary behind.
+  ASSERT_TRUE(stream::save_checkpoint(path, other).ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  ASSERT_TRUE(stream::load_checkpoint(path, reloaded).ok());
+  EXPECT_EQ(reloaded.next_cycle, other.next_cycle);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, StagedAnalysisIsStoredAsOneIncrement) {
+  // An overlapped K=1 snapshot taken mid-pipeline carries exactly one
+  // ensemble-sized increment array (v4), not a prior/posterior pair.
+  stream::SyntheticStreamConfig sc;
+  stream::RealtimeConfig rc;
+  rc.cycles = 10;
+  rc.n_members = 8;
+  rc.schedule = stream::Schedule::Overlapped;
+  const std::string path = temp_path("ckpt_increment.bin");
+  rc.checkpoint_path = path;
+  rc.checkpoint_every = 5;
+  const auto r = run_stack(sc, rc, nullptr, FilterKind::Etkf);
+  ASSERT_TRUE(r.ckpt_status.ok()) << r.ckpt_status.to_string();
+  stream::CheckpointData data;
+  ASSERT_TRUE(stream::load_checkpoint(path, data).ok());
+  EXPECT_EQ(data.next_cycle, 5);
+  EXPECT_EQ(data.increment.size(), data.ensemble.size());
+  EXPECT_TRUE(data.ring.empty());
   std::remove(path.c_str());
 }
 

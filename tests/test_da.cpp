@@ -569,7 +569,9 @@ TEST(Letkf, LaneBatchedFallbackMatchesSequentialUnderSweepStarvation) {
         << "max_sweeps=" << sweeps;
     EXPECT_EQ(stats_seq.solver_failures, stats_bat.solver_failures);
     EXPECT_EQ(stats_seq.fallback_columns, stats_bat.fallback_columns);
-    if (sweeps == 1) EXPECT_GT(stats_bat.solver_failures, 0u);
+    if (sweeps == 1) {
+      EXPECT_GT(stats_bat.solver_failures, 0u);
+    }
   }
 
   // Fallback disabled: both paths fail whole-analysis, ensemble untouched.

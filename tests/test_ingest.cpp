@@ -4,7 +4,7 @@
 // transports feeding IngestStream (dedup ledger, reconnects, save/restore),
 // and the deep-overlap (K > 1) RealtimeRunner schedule — late batches a K=1
 // run drops are applied with age-dependent R inflation, bitwise reproducibly
-// across thread counts and through a v3 checkpoint/resume.
+// across thread counts and through a checkpoint/resume.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "codec_reference.hpp"
 #include "common/bytes.hpp"
+#include "common/crc32.hpp"
 #include "da/etkf.hpp"
 #include "models/lorenz96.hpp"
 #include "stream/checkpoint.hpp"
@@ -170,7 +172,7 @@ TEST(Wire, FutureFormatVersionIsRefusedNotParsed) {
   bytes::put_u32(bytes, ingest::kWireVersion + 1);
   bytes::put_u64(bytes, payload.size());
   bytes.insert(bytes.end(), payload.begin(), payload.end());
-  bytes::put_u32(bytes, stream::crc32(payload));
+  bytes::put_u32(bytes, crc32(payload));
   ingest::encode_heartbeat_frame(9, 1, bytes);  // good frame behind the bad one
 
   ingest::FrameDecoder dec;
@@ -181,6 +183,80 @@ TEST(Wire, FutureFormatVersionIsRefusedNotParsed) {
   EXPECT_EQ(f.cycle, 9);
   EXPECT_GE(dec.stats().frames_corrupt, 1u);
   EXPECT_EQ(dec.last_error().code(), StatusCode::kUnsupported);
+}
+
+TEST(Wire, LyingVectorLengthWithValidCrcIsSkippedAsMalformed) {
+  // The frame's CRC is right but its y length claims 2^61 + 1 doubles, so
+  // 8 * n wraps to 8: the decoder must count it malformed and move on to the
+  // good frame behind it instead of throwing out of next().
+  std::vector<std::uint8_t> payload;
+  payload.push_back(static_cast<std::uint8_t>(ingest::FrameKind::kObs));
+  bytes::put_i32(payload, 2);
+  bytes::put_f64(payload, 2.0);
+  bytes::put_f64(payload, 2.5);
+  bytes::put_u64(payload, (std::uint64_t{1} << 61) + 1);
+  bytes::put_f64(payload, 1.0);
+  std::vector<std::uint8_t> bytes;
+  bytes::put_u32(bytes, ingest::kWireMagic);
+  bytes::put_u32(bytes, ingest::kWireVersion);
+  bytes::put_u64(bytes, payload.size());
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  bytes::put_u32(bytes, crc32(payload));
+  ingest::encode_heartbeat_frame(6, 3, bytes);
+
+  ingest::FrameDecoder dec;
+  dec.feed(bytes);
+  ingest::DecodedFrame f;
+  bool got = false;
+  EXPECT_NO_THROW(got = dec.next(f));
+  ASSERT_TRUE(got);
+  EXPECT_EQ(f.kind, ingest::FrameKind::kHeartbeat);
+  EXPECT_EQ(f.cycle, 6);
+  EXPECT_EQ(dec.stats().frames_corrupt, 1u);
+  EXPECT_EQ(dec.stats().frames_decoded, 1u);
+  EXPECT_EQ(dec.last_error().code(), StatusCode::kCorruptData);
+  EXPECT_NE(dec.last_error().message().find("malformed"), std::string::npos);
+}
+
+TEST(Wire, FramesAreByteIdenticalToTheReferenceEncoding) {
+  // Frames encoded in place must equal the version-1 layout built the slow
+  // way: separate payload, per-element f64s, byte-at-a-time CRC.
+  const auto frame = [](const std::vector<std::uint8_t>& payload) {
+    std::vector<std::uint8_t> f;
+    bytes::put_u32(f, ingest::kWireMagic);
+    bytes::put_u32(f, 1);
+    bytes::put_u64(f, payload.size());
+    f.insert(f.end(), payload.begin(), payload.end());
+    bytes::put_u32(f, test::naive_crc32(payload));
+    return f;
+  };
+  const stream::ObsBatch b = make_batch(7);
+  std::vector<std::uint8_t> p_obs{static_cast<std::uint8_t>(ingest::FrameKind::kObs)};
+  bytes::put_i32(p_obs, b.cycle);
+  bytes::put_f64(p_obs, b.valid_cycles);
+  bytes::put_f64(p_obs, b.arrival_cycles);
+  test::naive_put_f64_span(p_obs, b.y);
+
+  const std::vector<double> state = {1.5, -0.0, 3.0e-310, -2.25};
+  std::vector<std::uint8_t> p_truth{static_cast<std::uint8_t>(ingest::FrameKind::kTruth)};
+  bytes::put_i32(p_truth, 4);
+  test::naive_put_f64_span(p_truth, state);
+
+  std::vector<std::uint8_t> p_hb{static_cast<std::uint8_t>(ingest::FrameKind::kHeartbeat)};
+  bytes::put_i32(p_hb, 9);
+  bytes::put_u64(p_hb, 0x0102030405060708ull);
+
+  std::vector<std::uint8_t> expect = frame(p_obs);
+  const auto t = frame(p_truth);
+  const auto h = frame(p_hb);
+  expect.insert(expect.end(), t.begin(), t.end());
+  expect.insert(expect.end(), h.begin(), h.end());
+
+  std::vector<std::uint8_t> got;  // appended into one buffer, as a feeder does
+  ingest::encode_obs_frame(b, got);
+  ingest::encode_truth_frame(4, state, got);
+  ingest::encode_heartbeat_frame(9, 0x0102030405060708ull, got);
+  EXPECT_EQ(got, expect);
 }
 
 TEST(Wire, ImplausibleLengthIsTreatedAsCorruption) {
